@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import TOL, PeelResult, make_state
+from repro.core.local_engine import make_state
 from repro.core.metrics import Metric
+from repro.core.peeling import TOL, PeelResult
 from repro.core.worklog import WorkLog
 
 N_LEVELS = 32
@@ -40,20 +41,17 @@ def pkmc_run(graph: LocalGraph, metric: Metric, n_levels: int = N_LEVELS) -> Pee
     rounds = 0
     for lam in grid:
         while alive_count > 0:
-            alive = stamp == 0
-            batch_mask = alive & (state.w <= lam + TOL)
-            n_batch = int(batch_mask.sum())
-            if n_batch == 0:
+            batch, _ = state.take(lam, strict=False)
+            if not batch.size:
                 break
-            batch = np.flatnonzero(batch_mask)
             step += 1
             rounds += 1
             stamp[batch] = step
             updates = state.remove(batch, stamp, step)
             # PKMC recomputes the core structure each strip round: charge
             # a full edge pass on top of the vertex scan.
-            log.add(alive_count + graph.m, updates, n_batch, phase="peel")
-            alive_count -= n_batch
+            log.add(alive_count + graph.m, updates, batch.size, phase="peel")
+            alive_count -= batch.size
             densities.append(state.f / alive_count if alive_count else 0.0)
         if alive_count == 0:
             break

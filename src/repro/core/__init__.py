@@ -1,8 +1,9 @@
 """Dupin's core: density metrics, peeling schedules, and the two engines.
 
 See DESIGN.md §2 — the paper's contribution is the *schedule* (which
-vertices peel each round); one audited engine pair (Spark DataFrame jobs
-and a NumPy reference) executes every schedule for every metric.
+vertices peel each round); one peeling driver (``peeling``) executes every
+schedule for every metric over two backends, Spark DataFrame jobs and a
+NumPy reference.
 """
 from repro.core.api import Dupin
 from repro.core.graph import LocalGraph, from_edges

@@ -9,8 +9,8 @@ Spark) behind all comparisons:
 - ``gpo(eps)``    — Algorithm 3: + global threshold ``τ_max``.
 - ``lpo(eps)``    — Algorithm 4: + local trim loop (``w_u < g(S)``).
 - ``bucket``      — GBBS/PBBS-style: peel the minimum-weight bucket.
-- ``alenex(eps)`` — near-optimal parallel peeling: tiny ε, extra per-round
-  ordering work (see baselines.alenex).
+- ``alenex(eps)`` — near-optimal parallel peeling: tiny ε (its per-round
+  ordering work is charged by baselines.alenex).
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ class Schedule:
     eps: float = 0.0
     gpo: bool = False
     lpo: bool = False
-    round_sort: bool = False  # charge an extra n·log2(n) ordering per round
 
 
 def sequential() -> Schedule:
@@ -48,7 +47,7 @@ def bucket() -> Schedule:
 
 
 def alenex(eps: float = 0.01) -> Schedule:
-    return Schedule("alenex", "threshold", eps=eps, round_sort=True)
+    return Schedule("alenex", "threshold", eps=eps)
 
 
 def bucket_gpo(eps: float = 0.1) -> Schedule:

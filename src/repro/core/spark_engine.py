@@ -1,25 +1,26 @@
-"""Spark DataFrame peeling engine.
+"""Spark DataFrame backend of the peeling driver.
 
 The paper's parallel peeling (Algorithms 2–4) expressed as iterative
 vertex-peeling jobs over partitioned edge DataFrames — the PySpark-native
 rendition of "GraphX vertex-peeling jobs over partitioned edge RDDs"
 (GraphX has no Python API; Catalyst DataFrame ops are the supported
-dataflow layer). Each round:
+dataflow layer). The round loop is ``core.peeling.peel``, shared with the
+local engine; this module supplies its backend operations:
 
-1. aggregates per-vertex peeling weights (``groupBy`` over the symmetric
-   edge view, or DataFrame self-join clique counting for TDS/kCLiDS),
-2. computes ``f``, ``g`` and the threshold with one ``agg`` action,
-3. peels via ``filter`` + ``left_anti`` joins on the edge table,
-4. ``localCheckpoint``s vertices and edges so lineage stays flat across
-   the O(log_{1+ε}|V|) rounds.
+- peeling weights are a ``groupBy`` over the symmetric edge view, or a
+  DataFrame self-join clique count for TDS/kCLiDS;
+- selections (``min_weight``, ``take``, ``argmin``) are one action each
+  over those weights; ``take`` returns each selected vertex's weight, so
+  the driver counts GPO's long tail without another action;
+- ``remove`` anti-joins the peeled ids out of the vertex and edge tables,
+  ``localCheckpoint``s both so lineage stays flat across the
+  O(log_{1+ε}|V|) rounds, and refreshes ``f`` with one ``agg`` action.
+  An LPO trim the driver refuses therefore costs a single ``collect``.
 
-The engine accepts the same :class:`~repro.core.schedules.Schedule`
-objects as the local engine for the parallel modes (``threshold`` and
-``bucket``); sequential schedules are inherently single-vertex-per-step
-and stay on the local engine (see DESIGN.md §4).
-
-Results are bit-compatible with ``local_engine`` (same TOL conventions);
-``tests/test_spark_engine.py`` asserts identical peel sets per round.
+Sequential schedules are inherently single-vertex-per-step and stay on
+the local engine (see DESIGN.md §4). Both engines run the same driver with
+the same TOL conventions; ``tests/test_spark_engine.py`` asserts identical
+peel sets, counters and WorkLog rounds.
 """
 from __future__ import annotations
 
@@ -29,12 +30,9 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import TOL, PeelResult
 from repro.core.metrics import Metric
+from repro.core.peeling import TOL, PeelResult, peel
 from repro.core.schedules import Schedule
-from repro.core.worklog import WorkLog
-
-MAX_ROUNDS = 100_000  # safety valve: R < log_{1+eps}|V| in theory
 
 
 def _symmetric(edges: DataFrame) -> DataFrame:
@@ -103,6 +101,74 @@ def clique_weights_df(verts: DataFrame, edges: DataFrame, k: int) -> DataFrame:
     )
 
 
+class _DataFrameState:
+    """Backend operations of the peeling driver over Spark DataFrames.
+
+    The alive subgraph is a checkpointed vertex table ``(vid, a)`` and edge
+    table ``(src, dst, c)``; ``wdf`` derives the peeling weights from them
+    lazily, and ``f`` is refreshed by one aggregate action per removal.
+    """
+
+    def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric):
+        self.spark, self.metric = spark, metric
+        if metric.kind == "edge":
+            ew = metric.build(graph)
+            verts = spark.createDataFrame(pd.DataFrame(
+                {"vid": np.arange(graph.n, dtype=np.int64), "a": ew.a}))
+            edges = spark.createDataFrame(pd.DataFrame(
+                {"src": graph.src, "dst": graph.dst, "c": ew.c}))
+            # updates of a peeled vertex = its incident half-edges
+            self.degree = graph.degrees()
+        else:
+            verts, edges = graph.to_spark(spark)
+        self.verts = verts.repartition("vid").localCheckpoint(eager=True)
+        self.edges = edges.repartition("src").localCheckpoint(eager=True)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Weights of the alive subgraph, and its ``f`` in one action."""
+        if self.metric.kind == "edge":
+            self.wdf = edge_weights_df(self.verts, self.edges)
+            sa, si = self.wdf.agg(F.sum("a"), F.sum("wsum")).first()
+            self.f = float(sa or 0.0) + float(si or 0.0) / 2.0
+        else:
+            self.wdf = clique_weights_df(self.verts, self.edges, self.metric.k)
+            (sw,) = self.wdf.agg(F.sum("w")).first()
+            # each live clique is counted k times across its members' w
+            self.f = float(sw or 0.0) / self.metric.k
+
+    def min_weight(self) -> float:
+        return float(self.wdf.agg(F.min("w")).first()[0])
+
+    def take(self, upto: float, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+        hit = F.col("w") < upto - TOL if strict else F.col("w") <= upto + TOL
+        rows = self.wdf.filter(hit).select("vid", "w").collect()
+        ids = np.array([r[0] for r in rows], dtype=np.int64)
+        w = np.array([r[1] for r in rows], dtype=np.float64)
+        order = np.argsort(ids)
+        return ids[order], w[order]
+
+    def argmin(self) -> int:
+        return int(self.wdf.orderBy("w", "vid").first()["vid"])
+
+    def remove(self, ids: np.ndarray, stamp: np.ndarray, step: int) -> int:
+        """Anti-join ``ids`` out of both tables and refresh the weights."""
+        peeled = self.spark.createDataFrame(pd.DataFrame({"vid": ids}))
+        self.verts = self.verts.join(peeled, "vid", "left_anti").localCheckpoint(
+            eager=True)
+        self.edges = (
+            self.edges.join(peeled.withColumnRenamed("vid", "src"), "src", "left_anti")
+            .join(peeled.withColumnRenamed("vid", "dst"), "dst", "left_anti")
+            .select("src", "dst", "c")
+            .localCheckpoint(eager=True)
+        )
+        f_before = self.f
+        self._refresh()
+        if self.metric.kind == "edge":
+            return int(self.degree[ids].sum())
+        return round(self.metric.k * (f_before - self.f))  # k per clique killed
+
+
 def peel_spark(
     spark: SparkSession,
     graph: LocalGraph,
@@ -120,146 +186,5 @@ def peel_spark(
             "sequential schedules are span-bound by definition; "
             "run them on the local engine (DESIGN.md §4)"
         )
-    n0 = graph.n
-    k = metric.k
-    if metric.kind == "edge":
-        ew = metric.build(graph)
-        verts = spark.createDataFrame(
-            pd.DataFrame({"vid": np.arange(n0, dtype=np.int64), "a": ew.a})
-        )
-        edges = spark.createDataFrame(
-            pd.DataFrame({"src": graph.src, "dst": graph.dst, "c": ew.c})
-        )
-    else:
-        verts, edges = graph.to_spark(spark)
-    verts = verts.repartition("vid").localCheckpoint(eager=True)
-    edges = edges.repartition("src").localCheckpoint(eager=True)
-
-    factor = k * (1.0 + schedule.eps)
-    stamp = np.zeros(n0, dtype=np.int64)
-    step = 0
-    densities: list[float] = []
-    best_g, best_step = -np.inf, 0
-    tau_max = 0.0
-    rounds = trim_rounds = long_tail = sparse = 0
-    log = WorkLog(n=n0, m=graph.m)
-    round_sets: list[np.ndarray] | None = [] if collect_round_sets else None
-
-    def weights_of(v: DataFrame, e: DataFrame) -> DataFrame:
-        if metric.kind == "edge":
-            return edge_weights_df(v, e)
-        return clique_weights_df(v, e, k)
-
-    def stats_of(wdf: DataFrame) -> tuple[int, float]:
-        """(|S|, f(S)) in one aggregate action."""
-        if metric.kind == "edge":
-            row = wdf.agg(
-                F.count(F.lit(1)).alias("n"),
-                F.sum("a").alias("sa"),
-                F.sum("wsum").alias("si"),
-            ).first()
-            n = int(row["n"])
-            f = (float(row["sa"] or 0.0) + float(row["si"] or 0.0) / 2.0) if n else 0.0
-            return n, f
-        row = wdf.agg(
-            F.count(F.lit(1)).alias("n"),
-            F.sum("a").alias("sa"),
-            F.sum("w").alias("sw"),
-        ).first()
-        n = int(row["n"])
-        # each live clique is counted k times across its members' w
-        f = (float(row["sw"] or 0.0) / k) if n else 0.0
-        return n, f
-
-    def remove(v: DataFrame, e: DataFrame, peeled: DataFrame):
-        """Anti-join the peeled set out of both tables; collect its ids."""
-        peeled = peeled.localCheckpoint(eager=True)
-        ids = np.asarray(
-            [r["vid"] for r in peeled.collect()], dtype=np.int64
-        )
-        v2 = v.join(peeled, "vid", "left_anti").localCheckpoint(eager=True)
-        e2 = (
-            e.join(peeled.withColumnRenamed("vid", "src"), "src", "left_anti")
-            .join(peeled.withColumnRenamed("vid", "dst"), "dst", "left_anti")
-            .select("src", "dst", "c")
-            .localCheckpoint(eager=True)
-        )
-        return v2, e2, ids
-
-    wdf = weights_of(verts, edges)
-    n_alive, f = stats_of(wdf)
-    g0 = f / n_alive if n_alive else 0.0
-    densities.append(g0)
-    best_g = g0
-
-    while n_alive > 0:
-        if rounds >= MAX_ROUNDS:
-            raise RuntimeError("peeling failed to terminate")
-        gcur = f / n_alive
-        if schedule.mode == "bucket":
-            wmin = float(wdf.agg(F.min("w")).first()[0])
-            peeled_df = wdf.filter(F.col("w") <= wmin + TOL).select("vid")
-        else:
-            base_tau = factor * gcur
-            if schedule.gpo:
-                tau_max = max(tau_max, gcur / factor)
-                tau = max(tau_max, base_tau)
-            else:
-                tau = base_tau
-            peeled_df = wdf.filter(F.col("w") <= tau + TOL).select("vid")
-            if schedule.gpo:
-                long_tail += wdf.filter(
-                    (F.col("w") <= tau + TOL) & (F.col("w") > base_tau + TOL)
-                ).count()
-        verts, edges, peeled_ids = remove(verts, edges, peeled_df)
-        if peeled_ids.size == 0:  # float safety net: peel the argmin
-            amin = wdf.orderBy("w", "vid").limit(1).select("vid")
-            verts, edges, peeled_ids = remove(verts, edges, amin)
-        step += 1
-        rounds += 1
-        stamp[peeled_ids] = step
-        log.add(n_alive, int(peeled_ids.size), peeled_ids.size, phase="peel")
-        if round_sets is not None:
-            round_sets.append(np.sort(peeled_ids))
-
-        wdf = weights_of(verts, edges)
-        n_alive, f = stats_of(wdf)
-        gnew = f / n_alive if n_alive else 0.0
-        densities.append(gnew)
-        if n_alive and gnew > best_g + TOL:
-            best_g, best_step = gnew, step
-
-        if schedule.lpo:
-            while n_alive > 0:
-                gcur = f / n_alive
-                tau2 = max(tau_max, gcur)
-                trim_df = wdf.filter(F.col("w") < tau2 - TOL).select("vid")
-                verts2, edges2, trimmed = remove(verts, edges, trim_df)
-                if trimmed.size == 0 or trimmed.size == n_alive:
-                    break
-                verts, edges = verts2, edges2
-                step += 1
-                trim_rounds += 1
-                sparse += trimmed.size
-                stamp[trimmed] = step
-                log.add(n_alive, int(trimmed.size), trimmed.size, phase="trim")
-                wdf = weights_of(verts, edges)
-                n_alive, f = stats_of(wdf)
-                gnew = f / n_alive if n_alive else 0.0
-                densities.append(gnew)
-                if n_alive and gnew > best_g + TOL:
-                    best_g, best_step = gnew, step
-
-    best_set = np.flatnonzero(stamp > best_step)
-    return PeelResult(
-        best_set=best_set,
-        best_density=float(best_g),
-        densities=densities,
-        n_rounds=rounds,
-        n_trim_rounds=trim_rounds,
-        long_tail_peeled=long_tail,
-        sparse_trimmed=sparse,
-        worklog=log,
-        peel_stamp=stamp,
-        round_sets=round_sets,
-    )
+    return peel(_DataFrameState(spark, graph, metric), graph, metric, schedule,
+                collect_round_sets)

@@ -24,7 +24,7 @@ from repro.baselines import (
     spade_run,
 )
 from repro.core import by_name, peel_local
-from repro.core.schedules import bucket, bucket_gpo, bucket_lpo, dupin, gpo, lpo
+from repro.core.schedules import bucket, bucket_gpo, bucket_lpo, dupin, gpo
 from repro.fraudsim import generate_stream, prevention_ratio
 from repro.graphgen.datasets import DATASETS, load_dataset
 from repro.simmachine import (
@@ -89,10 +89,6 @@ def run_system(
     metric = by_name(metric_name, KCLIDS_K)
     if system == "Dupin":
         res = peel_local(graph, metric, dupin(0.1))
-    elif system == "DupinGPO":
-        res = peel_local(graph, metric, gpo(0.1))
-    elif system == "DupinLPO":
-        res = peel_local(graph, metric, lpo(0.1))
     elif system == "GBBS":
         res = gbbs_run(graph, metric)
     elif system == "PBBS":

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import DG, DW, FD, TDS, dupin, from_edges, kclids, peel_local
 from repro.core.brute import density_of, optimal_density
+from repro.core.peeling import peel
 
 
 @pytest.fixture
@@ -56,6 +57,27 @@ def test_every_round_peels_at_least_one_vertex():
     r = peel_local(g, DW, dupin(0.1), collect_round_sets=True)
     assert all(s.size >= 1 for s in r.round_sets)
     assert sum(s.size for s in r.round_sets) == 30
+
+
+def test_driver_rejects_a_round_that_peels_no_alive_vertex():
+    """The driver's termination guard: a backend that selects nothing new
+    fails loudly instead of looping, so peeling ends within |V| rounds."""
+
+    class Stuck:
+        f = 1.0
+
+        def take(self, upto, strict):
+            return np.empty(0, np.int64), np.empty(0)
+
+        def argmin(self):
+            return 0  # already peeled after the first round
+
+        def remove(self, ids, stamp, step):
+            return 0
+
+    g = from_edges(3, [0, 1], [1, 2])
+    with pytest.raises(RuntimeError, match="stalled"):
+        peel(Stuck(), g, DG, dupin(0.1), collect=False)
 
 
 def test_larger_eps_never_more_rounds():

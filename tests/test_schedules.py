@@ -1,6 +1,9 @@
 """Tests for the schedule descriptors."""
+import numpy as np
 import pytest
 
+from repro.baselines import alenex_run
+from repro.core import DG, from_edges, peel_local
 from repro.core.schedules import (
     Schedule,
     alenex,
@@ -42,7 +45,16 @@ def test_bucket_variants():
 
 
 def test_alenex_charges_sort():
-    assert alenex().round_sort
+    """ALENEX's per-round ordering work is a WorkLog surcharge on top of
+    the plain ε = 0.01 threshold schedule."""
+    rng = np.random.default_rng(3)
+    g = from_edges(40, rng.integers(0, 40, 120), rng.integers(0, 40, 120))
+    plain = peel_local(g, DG, alenex())
+    charged = alenex_run(g, DG)
+    surcharge = int(g.n * np.log2(g.n) + g.m)
+    assert [r.scanned - surcharge for r in charged.worklog.rounds] == [
+        r.scanned for r in plain.worklog.rounds
+    ]
     assert alenex().eps == 0.01
 
 

@@ -1,11 +1,15 @@
 """Spark engine ≡ local engine, peel-for-peel, plus DuckDB oracle checks
 on the engine's internal aggregations."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, peel_spark
-from repro.core.schedules import bucket, dupin, gpo, lpo, sequential
+from repro.core.schedules import (
+    bucket, bucket_gpo, bucket_lpo, dupin, gpo, lpo, sequential,
+)
 from repro.core.spark_engine import cliques_df, edge_weights_df
 from repro.oracle import assert_equivalent
 
@@ -18,10 +22,26 @@ def _graph(seed, n=36, m=110):
     )
 
 
+def _clique_path():
+    """An 8-clique with a 21-vertex path of 0.1-weight edges hanging off it:
+    GPO's τ_max pulls the whole light path into one bucket round."""
+    pairs = list(itertools.combinations(range(8), 2)) + [
+        (i, i + 1) for i in range(7, 28)
+    ]
+    src, dst = zip(*pairs)
+    return from_edges(29, src, dst, [1.0] * 28 + [0.1] * 21)
+
+
 def _assert_same(rl, rs):
     assert rs.best_density == pytest.approx(rl.best_density, abs=1e-7)
     assert np.array_equal(np.sort(rl.best_set), np.sort(rs.best_set))
     assert rl.n_rounds == rs.n_rounds
+    assert rl.n_trim_rounds == rs.n_trim_rounds
+    assert rl.long_tail_peeled == rs.long_tail_peeled
+    assert rl.sparse_trimmed == rs.sparse_trimmed
+    assert [vars(r) for r in rl.worklog.rounds] == [
+        vars(r) for r in rs.worklog.rounds
+    ]
     assert len(rl.round_sets) == len(rs.round_sets)
     for a, b in zip(rl.round_sets, rs.round_sets):
         assert np.array_equal(np.sort(a), b)
@@ -37,26 +57,29 @@ def test_spark_matches_local_dupin(spark, metric):
 
 @pytest.mark.parametrize("sched_name,sched", [
     ("gpo", gpo(0.1)), ("lpo", lpo(0.1)), ("bucket", bucket()),
+    ("bucket_gpo", bucket_gpo(0.1)), ("bucket_lpo", bucket_lpo(0.1)),
 ])
 def test_spark_matches_local_schedules(spark, sched_name, sched):
-    g = _graph(2, n=24, m=70)
-    rl = peel_local(g, DW, sched, collect_round_sets=True)
-    rs = peel_spark(spark, g, DW, sched, collect_round_sets=True)
-    _assert_same(rl, rs)
+    for g in (_graph(2, n=24, m=70), _clique_path()):
+        rl = peel_local(g, DW, sched, collect_round_sets=True)
+        rs = peel_spark(spark, g, DW, sched, collect_round_sets=True)
+        _assert_same(rl, rs)
 
 
 def test_spark_matches_local_tds(spark):
     g = _graph(3, n=26, m=90)
-    rl = peel_local(g, TDS, dupin(0.1), collect_round_sets=True)
-    rs = peel_spark(spark, g, TDS, dupin(0.1), collect_round_sets=True)
-    _assert_same(rl, rs)
+    for sched in (dupin(0.1), gpo(0.1), lpo(0.1)):
+        rl = peel_local(g, TDS, sched, collect_round_sets=True)
+        rs = peel_spark(spark, g, TDS, sched, collect_round_sets=True)
+        _assert_same(rl, rs)
 
 
 def test_spark_matches_local_kclids4(spark):
     g = _graph(4, n=20, m=70)
-    rl = peel_local(g, kclids(4), dupin(0.1), collect_round_sets=True)
-    rs = peel_spark(spark, g, kclids(4), dupin(0.1), collect_round_sets=True)
-    _assert_same(rl, rs)
+    for sched in (dupin(0.1), gpo(0.1), lpo(0.1)):
+        rl = peel_local(g, kclids(4), sched, collect_round_sets=True)
+        rs = peel_spark(spark, g, kclids(4), sched, collect_round_sets=True)
+        _assert_same(rl, rs)
 
 
 def test_spark_rejects_sequential(spark):
