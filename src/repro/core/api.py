@@ -31,23 +31,26 @@ class Dupin:
         self._backend = backend
         self._vsusp: Callable | None = None
         self._esusp: Callable | None = None
-        self._metric: M.Metric | None = None
+        self._metric_name: str | None = None  # resolved with ``_k`` on detection
         self._eps = 0.1
         self._k = 3
         self._optimization = "lpo"  # paper default: all optimizations on
         self._graph: LocalGraph | None = None
+        self._result: PeelResult | None = None  # last ParDetect, until a setter
 
     # -- API surface (paper Figure 4) ------------------------------------
     def VSusp(self, fn: Callable) -> "Dupin":
         """Vertex suspiciousness ``vsusp(u, graph) -> float >= 0``."""
         self._vsusp = fn
-        self._metric = None
+        self._metric_name = None
+        self._result = None
         return self
 
     def ESusp(self, fn: Callable) -> "Dupin":
         """Edge suspiciousness ``esusp(u, v, weight, graph) -> float >= 0``."""
         self._esusp = fn
-        self._metric = None
+        self._metric_name = None
+        self._result = None
         return self
 
     def setEpsilon(self, eps: float) -> "Dupin":
@@ -55,16 +58,24 @@ class Dupin:
         if eps < 0:
             raise ValueError("epsilon must be >= 0")
         self._eps = float(eps)
+        self._result = None
         return self
 
     def setK(self, k: int) -> "Dupin":
         """Clique size for TDS/kCLiDS-style metrics."""
         self._k = int(k)
+        self._result = None
         return self
 
     def setMetric(self, name: str) -> "Dupin":
-        """Use a named built-in metric: DG, DW, FD, TDS, kCLiDS."""
-        self._metric = M.by_name(name, self._k)
+        """Use a named built-in metric: DG, DW, FD, TDS, kCLiDS.
+
+        The name is resolved on detection, so ``setK`` may come before or
+        after it.
+        """
+        M.by_name(name)  # unknown names fail here
+        self._metric_name = name
+        self._result = None
         return self
 
     def setOptimization(self, level: str) -> "Dupin":
@@ -72,6 +83,7 @@ class Dupin:
         if level not in ("none", "gpo", "lpo"):
             raise ValueError(level)
         self._optimization = level
+        self._result = None
         return self
 
     def isBenign(self, result: PeelResult, vertex: int) -> bool:
@@ -80,10 +92,11 @@ class Dupin:
         Benign vertices are those outside the detected dense subgraph —
         they were peeled during the process and never re-flagged.
         """
-        return int(vertex) not in set(result.best_set.tolist())
+        return not np.isin(int(vertex), result.best_set)
 
     def LoadGraph(self, graph: LocalGraph) -> "Dupin":
         self._graph = graph
+        self._result = None
         return self
 
     def ParDetect(self) -> PeelResult:
@@ -97,16 +110,21 @@ class Dupin:
             "lpo": schedules.lpo(self._eps),
         }[self._optimization]
         if self._backend == "local":
-            return peel_local(self._graph, metric, sched)
-        return peel_spark(self._spark, self._graph, metric, sched)
+            self._result = peel_local(self._graph, metric, sched)
+        else:
+            self._result = peel_spark(self._spark, self._graph, metric, sched)
+        return self._result
 
     def fraudsters(self) -> np.ndarray:
-        """Convenience: vertex ids of the detected community."""
-        return self.ParDetect().best_set
+        """Vertex ids of the detected community, from the last ``ParDetect``
+        unless a setter or ``LoadGraph`` has changed the detection since."""
+        if self._result is None:
+            self.ParDetect()
+        return self._result.best_set
 
     def _resolve_metric(self) -> M.Metric:
-        if self._metric is not None:
-            return self._metric
+        if self._metric_name is not None:
+            return M.by_name(self._metric_name, self._k)
         if self._vsusp is None or self._esusp is None:
             raise RuntimeError("set a metric or plug in VSusp and ESusp")
         return M.custom_metric("custom", self._vsusp, self._esusp, k=2)

@@ -14,6 +14,20 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 
+def _check_edges(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> None:
+    if not (src.size == dst.size == w.size):
+        raise ValueError("src, dst and edge_weight must have equal lengths")
+    for ids in (src, dst):
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError(
+                f"vertex ids must lie in [0, {n}); got {ids.min()}..{ids.max()}")
+
+
+# Spark schemas of the vertex and edge tables (fixed, so empty graphs work)
+VERTS = "vid long, a double"
+EDGES = "src long, dst long, c double"
+
+
 @dataclass
 class LocalGraph:
     """Undirected weighted graph with optional per-vertex attributes.
@@ -40,6 +54,21 @@ class LocalGraph:
     _eid: np.ndarray | None = None
     # per-graph clique-enumeration cache: k -> (C, k) array
     _clique_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        """Reject input the engines cannot peel, naming the problem."""
+        if self.n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        _check_edges(self.n, self.src, self.dst, self.edge_weight)
+        if self.vertex_weight.size != self.n:
+            raise ValueError(
+                f"vertex_weight has {self.vertex_weight.size} entries for "
+                f"{self.n} vertices")
+        for name, w in (("edge", self.edge_weight), ("vertex", self.vertex_weight)):
+            if not np.isfinite(w).all():
+                raise ValueError(f"{name} weights must be finite (NaN or inf found)")
+        if (self.vertex_weight < 0).any():
+            raise ValueError("vertex weights must be non-negative")
 
     @property
     def m(self) -> int:
@@ -84,7 +113,8 @@ class LocalGraph:
     def to_spark(self, spark: SparkSession) -> tuple[DataFrame, DataFrame]:
         """``(vertices, edges)`` Spark DataFrames with the engine's schema."""
         verts, edges = self.to_pandas()
-        return spark.createDataFrame(verts), spark.createDataFrame(edges)
+        return (spark.createDataFrame(verts, VERTS),
+                spark.createDataFrame(edges, EDGES))
 
 
 def from_edges(
@@ -106,6 +136,8 @@ def from_edges(
     if edge_weight is None:
         edge_weight = np.ones(src.size, dtype=np.float64)
     edge_weight = np.asarray(edge_weight, dtype=np.float64)
+    # before merging: an out-of-range id could alias a real edge's key
+    _check_edges(n, src, dst, edge_weight)
     keep = src != dst
     src, dst, edge_weight = src[keep], dst[keep], edge_weight[keep]
     lo = np.minimum(src, dst)

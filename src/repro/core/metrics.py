@@ -11,7 +11,7 @@ A :class:`Metric` carries everything the engines need:
 
 Custom metrics plug in via :func:`custom_metric` with ``vsusp``/``esusp``
 callables, mirroring the paper's Listing 1 API; Property 3.1
-(non-negative ``a``, ``c``; ``g = f/|S|``) is validated at build time.
+(finite, non-negative ``a``, ``c``; ``g = f/|S|``) is validated at build time.
 """
 from __future__ import annotations
 
@@ -54,10 +54,12 @@ class Metric:
     def build(self, g: LocalGraph) -> EdgeWeights | CliqueWeights:
         w = self._builder(g)
         if isinstance(w, EdgeWeights):
-            if (w.a < 0).any() or (w.c < 0).any():
-                raise ValueError(
-                    f"metric {self.name} violates Property 3.1: negative weights"
-                )
+            for x in (w.a, w.c):
+                if not (np.isfinite(x) & (x >= 0)).all():
+                    raise ValueError(
+                        f"metric {self.name} violates Property 3.1: "
+                        "negative or non-finite weights"
+                    )
         return w
 
 

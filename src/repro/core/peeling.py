@@ -81,7 +81,7 @@ def peel(
     stamp = np.zeros(n, dtype=np.int64)
     alive = n
     step = 0
-    densities = [state.f / n]
+    densities = [state.f / n if n else 0.0]  # the empty graph peels nothing
     best_g, best_step = densities[0], 0
     tau_max = 0.0
     rounds = trim_rounds = long_tail = sparse = 0

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core import Dupin, from_edges, peel_local
+from repro.core import Dupin, from_edges, kclids, peel_local
+from repro.core import api
 from repro.core.schedules import gpo, lpo
 from repro.graphgen import chung_lu_with_communities
 
@@ -68,6 +69,41 @@ def test_setk_for_clique_metric():
     d = Dupin(backend="local").setK(4).setMetric("kCLiDS").LoadGraph(g)
     res = d.ParDetect()
     assert set(res.best_set.tolist()) == {0, 1, 2, 3}
+
+
+def test_setk_and_setmetric_in_either_order(graph):
+    """A named metric is resolved on detection: setK after setMetric counts."""
+    ref = peel_local(graph, kclids(5), lpo(0.1))
+    for d in (Dupin(backend="local").setMetric("kCLiDS").setK(5),
+              Dupin(backend="local").setK(5).setMetric("kCLiDS")):
+        res = d.LoadGraph(graph).ParDetect()
+        assert res.best_density == pytest.approx(ref.best_density)
+        assert np.array_equal(res.best_set, ref.best_set)
+    with pytest.raises(KeyError):
+        Dupin(backend="local").setMetric("???")
+
+
+def test_fraudsters_reuses_last_detection(graph, monkeypatch):
+    """fraudsters() does not detect again until a setter or LoadGraph."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return peel_local(*args, **kwargs)
+
+    monkeypatch.setattr(api, "peel_local", counting)
+    d = Dupin(backend="local").setMetric("DW").LoadGraph(graph)
+    first = d.ParDetect()
+    assert np.array_equal(d.fraudsters(), first.best_set)
+    d.fraudsters()
+    assert len(calls) == 1
+    for change in (lambda: d.setEpsilon(0.2), lambda: d.setK(4),
+                   lambda: d.setMetric("DG"), lambda: d.setOptimization("gpo"),
+                   lambda: d.LoadGraph(graph)):
+        change()
+        d.fraudsters()
+        d.fraudsters()
+    assert len(calls) == 6
 
 
 def test_spark_backend_matches_local(spark, graph):

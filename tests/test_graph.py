@@ -108,3 +108,35 @@ def test_from_edges_is_deterministic():
     g2 = from_edges(9, s, d, w)
     assert np.array_equal(g1.src, g2.src)
     assert np.allclose(g1.edge_weight, g2.edge_weight)
+
+
+@pytest.mark.parametrize("src,dst", [([0, 3], [1, 1]), ([0, -1], [1, 2]),
+                                     ([1, 0], [2, 5])])  # (0, 5) aliases (1, 2)
+def test_from_edges_rejects_out_of_range_ids(src, dst):
+    with pytest.raises(ValueError, match=r"vertex ids must lie in \[0, 3\)"):
+        from_edges(3, src, dst)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_edges_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="edge weights must be finite"):
+        from_edges(3, [0, 1], [1, 2], [1.0, bad])
+    with pytest.raises(ValueError, match="vertex weights must be finite"):
+        from_edges(3, [0, 1], [1, 2], vertex_weight=[0.0, bad, 0.0])
+
+
+def test_from_edges_rejects_negative_vertex_weights():
+    with pytest.raises(ValueError, match="vertex weights must be non-negative"):
+        from_edges(3, [0, 1], [1, 2], vertex_weight=[0.0, -0.5, 0.0])
+
+
+def test_local_graph_validates_direct_construction():
+    ok = dict(n=3, src=np.array([0]), dst=np.array([1]),
+              edge_weight=np.array([1.0]), vertex_weight=np.zeros(3))
+    LocalGraph(**ok)
+    with pytest.raises(ValueError, match="vertex ids"):
+        LocalGraph(**{**ok, "dst": np.array([3])})
+    with pytest.raises(ValueError, match="3 vertices"):
+        LocalGraph(**{**ok, "vertex_weight": np.zeros(2)})
+    with pytest.raises(ValueError, match="equal lengths"):
+        LocalGraph(**{**ok, "edge_weight": np.array([1.0, 2.0])})

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DG, DW, FD, TDS, dupin, from_edges, kclids, peel_local
+from repro.core import (
+    DG, DW, FD, TDS, dupin, from_edges, kclids, peel_local, peel_spark,
+)
 from repro.core.brute import density_of, optimal_density
 from repro.core.peeling import peel
+from repro.core.schedules import bucket, bucket_lpo, gpo, lpo, sequential
 
 
 @pytest.fixture
@@ -78,6 +81,25 @@ def test_driver_rejects_a_round_that_peels_no_alive_vertex():
     g = from_edges(3, [0, 1], [1, 2])
     with pytest.raises(RuntimeError, match="stalled"):
         peel(Stuck(), g, DG, dupin(0.1), collect=False)
+
+
+def _assert_empty_result(r):
+    assert r.best_set.size == 0
+    assert r.best_density == 0.0
+    assert r.n_rounds == r.n_trim_rounds == 0
+    assert r.densities == [0.0]
+    assert r.worklog.rounds == []
+
+
+@pytest.mark.parametrize("metric", [DG, DW, FD, TDS, kclids(4)],
+                         ids=lambda m: m.name)
+def test_empty_graph_has_empty_result(spark, metric):
+    """n = 0: no rounds, an empty best set at density 0, on both engines."""
+    g = from_edges(0, [], [])
+    for sched in (sequential(), dupin(0.1), gpo(0.1), lpo(0.1), bucket(),
+                  bucket_lpo(0.1)):
+        _assert_empty_result(peel_local(g, metric, sched))
+    _assert_empty_result(peel_spark(spark, g, metric, lpo(0.1)))
 
 
 def test_larger_eps_never_more_rounds():

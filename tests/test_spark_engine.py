@@ -10,7 +10,7 @@ from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, peel_spa
 from repro.core.schedules import (
     bucket, bucket_gpo, bucket_lpo, dupin, gpo, lpo, sequential,
 )
-from repro.core.spark_engine import cliques_df, edge_weights_df
+from repro.core.spark_engine import _DataFrameState, cliques_df, edge_weights_df
 from repro.oracle import assert_equivalent
 
 
@@ -151,3 +151,131 @@ def test_spark_f_matches_local_f(spark):
     rl = peel_local(g, FD, dupin(0.1))
     rs = peel_spark(spark, g, FD, dupin(0.1))
     assert rs.densities[0] == pytest.approx(rl.densities[0], abs=1e-9)
+
+
+# ---- oracle checks on the incremental state -------------------------------
+
+def _drive(spark, g, metric, batches, check):
+    """Remove ``batches`` (then every survivor) from a fresh state, calling
+    ``check(state, peeled)`` before the first removal and after each."""
+    state = _DataFrameState(spark, g, metric)
+    stamp = np.zeros(g.n, dtype=np.int64)
+    check(state, np.empty(0, dtype=np.int64))
+    rest = np.setdiff1d(np.arange(g.n), np.concatenate(batches))
+    for step, ids in enumerate([*batches, rest], start=1):
+        ids = np.asarray(ids, dtype=np.int64)
+        stamp[ids] = step
+        state.remove(ids, stamp, step)
+        check(state, np.flatnonzero(stamp))
+
+
+_BATCHES = [[0, 5, 7], [1, 2, 3, 4], [11], [8, 9, 12, 13, 14, 20]]
+
+
+def test_incremental_edge_state_oracle(spark):
+    """After every batch, the alive table's ``w`` is ``a + Σ c`` over the
+    alive induced subgraph and ``f`` is that subgraph's ``f``."""
+    g = _graph(10, n=24, m=80)
+    ew = DW.build(g)
+    verts = pd.DataFrame({"vid": np.arange(g.n), "a": ew.a})
+    edges = pd.DataFrame({"src": g.src, "dst": g.dst, "c": ew.c})
+    alive_sql = """
+        WITH alive AS (
+            SELECT vid, a FROM verts
+            WHERE vid NOT IN (SELECT vid FROM peeled)
+        ), e AS (
+            SELECT src, dst, c FROM edges
+            WHERE src IN (SELECT vid FROM alive)
+              AND dst IN (SELECT vid FROM alive)
+        )
+    """
+
+    def check(state, peeled):
+        peeled = pd.DataFrame({"vid": peeled})
+        assert_equivalent(
+            state.alive.select("vid", "w"),
+            alive_sql + """
+            SELECT v.vid AS vid, v.a + COALESCE(s.wsum, 0.0) AS w
+            FROM alive v LEFT JOIN (
+                SELECT vid, SUM(c) AS wsum FROM (
+                    SELECT src AS vid, c FROM e
+                    UNION ALL SELECT dst AS vid, c FROM e
+                ) GROUP BY vid
+            ) s ON v.vid = s.vid
+            """,
+            verts=verts, edges=edges, peeled=peeled,
+        )
+        assert_equivalent(
+            spark.createDataFrame([(state.f,)], "f double"),
+            alive_sql + """
+            SELECT COALESCE((SELECT SUM(a) FROM alive), 0.0)
+                 + COALESCE((SELECT SUM(c) FROM e), 0.0) AS f
+            """,
+            verts=verts, edges=edges, peeled=peeled,
+        )
+
+    _drive(spark, g, DW, _BATCHES, check)
+
+
+def test_incremental_tds_state_oracle(spark):
+    """After every batch, ``w`` counts each alive vertex's live triangles
+    and ``f`` counts the live triangles."""
+    g = _graph(11, n=22, m=90)
+    verts = pd.DataFrame({"vid": np.arange(g.n)})
+    edges = pd.DataFrame({"src": g.src, "dst": g.dst})
+    live_sql = """
+        WITH alive AS (
+            SELECT vid FROM verts WHERE vid NOT IN (SELECT vid FROM peeled)
+        ), tri AS (
+            SELECT e1.src AS v0, e1.dst AS v1, e2.dst AS v2
+            FROM edges e1 JOIN edges e2 ON e1.dst = e2.src
+            JOIN edges e3 ON e3.src = e1.src AND e3.dst = e2.dst
+            WHERE e1.src IN (SELECT vid FROM alive)
+              AND e1.dst IN (SELECT vid FROM alive)
+              AND e2.dst IN (SELECT vid FROM alive)
+        )
+    """
+
+    def check(state, peeled):
+        peeled = pd.DataFrame({"vid": peeled})
+        assert_equivalent(
+            state.alive.select("vid", "w"),
+            live_sql + """
+            SELECT v.vid AS vid, CAST(COALESCE(r.cnt, 0) AS DOUBLE) AS w
+            FROM alive v LEFT JOIN (
+                SELECT vid, COUNT(*) AS cnt FROM (
+                    SELECT v0 AS vid FROM tri
+                    UNION ALL SELECT v1 FROM tri
+                    UNION ALL SELECT v2 FROM tri
+                ) GROUP BY vid
+            ) r ON v.vid = r.vid
+            """,
+            verts=verts, edges=edges, peeled=peeled,
+        )
+        assert_equivalent(
+            spark.createDataFrame([(state.f,)], "f double"),
+            live_sql + "SELECT CAST(COUNT(*) AS DOUBLE) AS f FROM tri",
+            verts=verts, edges=edges, peeled=peeled,
+        )
+
+    _drive(spark, g, TDS, _BATCHES, check)
+
+
+def test_spark_jobs_tagged_by_step_and_cleared(spark):
+    """Each phase tags its jobs with the step it serves; peel_spark leaves
+    no tag of its own behind, and keeps the caller's."""
+    sc = spark.sparkContext
+    state = _DataFrameState(spark, _graph(12, n=10, m=20), DW)
+    with state._phase("take"):
+        assert set(sc.getJobTags()) == {"dupin:s1:take"}
+    with state._phase("remove", 3):
+        assert set(sc.getJobTags()) == {"dupin:s3:remove"}
+    assert set(sc.getJobTags()) == set()
+    sc.addJobTag("caller")
+    try:
+        peel_spark(spark, _graph(12, n=10, m=20), TDS, lpo(0.1))
+        assert set(sc.getJobTags()) == {"caller"}
+    finally:
+        sc.removeJobTag("caller")
+    peel_spark(spark, _graph(12, n=10, m=20), DW, lpo(0.1))
+    assert set(sc.getJobTags()) == set()
