@@ -8,9 +8,12 @@ out-neighbours, so each clique is produced exactly once.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.graph import LocalGraph
+if TYPE_CHECKING:  # repro.core imports this module; annotations only
+    from repro.core.graph import LocalGraph
 
 
 def _oriented_adj(g: LocalGraph) -> list[np.ndarray]:

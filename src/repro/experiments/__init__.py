@@ -1,5 +1,6 @@
 """Per-table reproduction harnesses (DESIGN.md §6)."""
 from repro.experiments.tables import (
+    TABLES,
     table2,
     table3,
     table4,
@@ -13,6 +14,7 @@ from repro.experiments.tables import (
 from repro.experiments.io import render_markdown, write_table
 
 __all__ = [
+    "TABLES",
     "table2",
     "table3",
     "table4",

@@ -4,6 +4,8 @@ from __future__ import annotations
 import os
 from typing import Any
 
+from repro.experiments.tables import TABLES
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "results")
 
 
@@ -32,9 +34,10 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def write_table(name: str, rows: list[dict[str, Any]], title: str) -> str:
-    """Write ``results/<name>.md``; returns the rendered markdown."""
-    md = render_markdown(rows, title)
+def write_table(name: str, rows: list[dict[str, Any]]) -> str:
+    """Write ``results/<name>.md`` under the title ``TABLES[name]`` gives;
+    returns the rendered markdown."""
+    md = render_markdown(rows, TABLES[name][1])
     path = os.path.abspath(os.path.join(RESULTS_DIR, f"{name}.md"))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:

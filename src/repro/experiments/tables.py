@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from repro.baselines import (
     alenex_run,
     fwa_run,
@@ -62,22 +60,47 @@ def _round_growth(system: str, metric_name: str) -> str:
     return "log"
 
 
-def _simulate_paper_scale(
-    result, dataset: str, graph, metric_name: str, system: str,
+def _seconds(
+    res, system: str, metric, graph, paper_v: int, paper_e: int,
     profile: MachineProfile,
 ) -> float:
-    spec = DATASETS[dataset]
-    metric = by_name(metric_name, KCLIDS_K)
+    """Price one run's log at paper scale ``(paper_v, paper_e)``.
+
+    Spade's reported number is the average per-batch incremental cost
+    (sequential suffix re-peel, ``res`` is its ``SpadeResult``); clique
+    metrics additionally pay the span-bound initial clique counting (the
+    paper's TLEs). Every other system's work/span log is extrapolated and
+    simulated on ``profile``.
+    """
+    clique_k = metric.k if metric.kind == "clique" else None
+    if system == "Spade":
+        e_ratio = paper_e / max(graph.m, 1)
+        per_batch_ops = res.avg_batch_work * e_ratio
+        init_exp = clique_exponent(clique_k)
+        init_seq = res.result.worklog.init_sequential * e_ratio**init_exp
+        return (per_batch_ops + init_seq) / profile.seq_rate
     ag = extrapolate(
-        result.worklog,
+        res.worklog,
         synth_v=graph.n,
         synth_e=graph.m,
-        paper_v=spec.paper_v,
-        paper_e=spec.paper_e,
-        round_growth=_round_growth(system, metric_name),
-        clique_k=metric.k if metric.kind == "clique" else None,
+        paper_v=paper_v,
+        paper_e=paper_e,
+        round_growth=_round_growth(system, metric.name),
+        clique_k=clique_k,
     )
     return simulate(ag, profile)
+
+
+RUNNERS = {
+    "Dupin": lambda graph, metric: peel_local(graph, metric, dupin(0.1)),
+    "GBBS": gbbs_run,
+    "PBBS": pbbs_run,
+    "kCLIST": kclist_run,
+    "PKMC": pkmc_run,
+    "FWA": fwa_run,
+    "ALENEX": alenex_run,
+    "Spade": spade_run,
+}
 
 
 @lru_cache(maxsize=1024)
@@ -85,51 +108,18 @@ def run_system(
     dataset: str, scale: float, metric_name: str, system: str
 ) -> RunSummary:
     """Run ``system`` on ``dataset`` under ``metric`` and price the log."""
+    runner = RUNNERS[system]
     graph = load_dataset(dataset, scale)
     metric = by_name(metric_name, KCLIDS_K)
-    if system == "Dupin":
-        res = peel_local(graph, metric, dupin(0.1))
-    elif system == "GBBS":
-        res = gbbs_run(graph, metric)
-    elif system == "PBBS":
-        res = pbbs_run(graph, metric)
-    elif system == "kCLIST":
-        res = kclist_run(graph, metric)
-    elif system == "PKMC":
-        res = pkmc_run(graph, metric)
-    elif system == "FWA":
-        res = fwa_run(graph, metric)
-    elif system == "ALENEX":
-        res = alenex_run(graph, metric)
-    elif system == "Spade":
-        sres = spade_run(graph, metric)
-        res = sres.result
-        # Spade's reported number is the average per-batch incremental
-        # cost (sequential suffix re-peel); clique metrics additionally
-        # pay the span-bound initial clique counting (the paper's TLEs).
-        spec = DATASETS[dataset]
-        e_ratio = spec.paper_e / max(graph.m, 1)
-        per_batch_ops = sres.avg_batch_work * e_ratio
-        init_exp = clique_exponent(metric.k if metric.kind == "clique" else None)
-        init_seq = res.worklog.init_sequential * e_ratio**init_exp
-        sim = (per_batch_ops + init_seq) / X5650.seq_rate
-        sim_e = (per_batch_ops + init_seq) / EPYC_7742.seq_rate
-        return RunSummary(
-            density=res.best_density,
-            n_rounds=res.n_rounds,
-            sim_s=sim,
-            sim_epyc_s=sim_e,
-        )
-    else:
-        raise KeyError(system)
+    res = runner(graph, metric)
+    peeled = res.result if system == "Spade" else res
+    spec = DATASETS[dataset]
     return RunSummary(
-        density=res.best_density,
-        n_rounds=res.n_rounds,
-        sim_s=_simulate_paper_scale(
-            res, dataset, graph, metric_name, system, X5650
-        ),
-        sim_epyc_s=_simulate_paper_scale(
-            res, dataset, graph, metric_name, system, EPYC_7742
+        density=peeled.best_density,
+        n_rounds=peeled.n_rounds,
+        sim_s=_seconds(res, system, metric, graph, spec.paper_v, spec.paper_e, X5650),
+        sim_epyc_s=_seconds(
+            res, system, metric, graph, spec.paper_v, spec.paper_e, EPYC_7742
         ),
     )
 
@@ -219,60 +209,50 @@ def table4(scale: float = 1.0) -> list[dict]:
     return rows
 
 
+def _grid(datasets, systems, metrics, scale: float, cell) -> list[dict]:
+    """One row per (dataset, system), one ``cell(RunSummary)`` per metric."""
+    return [
+        {"Dataset": ds, "Method": system}
+        | {m: cell(run_system(ds, scale, m, system)) for m in metrics}
+        for ds in datasets
+        for system in systems
+    ]
+
+
+def _runtime(s: RunSummary) -> str:
+    return _fmt_time(s.sim_s)
+
+
+def _density(s: RunSummary) -> float:
+    return round(s.density, 2)
+
+
 # ---------------------------------------------------------------- Table 5
 def table5(scale: float = 1.0, datasets: tuple[str, ...] | None = None) -> list[dict]:
     """Runtime (simulated seconds at paper scale, 128 threads) — DG/DW/FD."""
-    datasets = datasets or tuple(DATASETS)
-    rows = []
-    for ds in datasets:
-        for system in EDGE_SYSTEMS:
-            row = {"Dataset": ds, "Method": system}
-            for mname in EDGE_METRICS:
-                row[mname] = _fmt_time(run_system(ds, scale, mname, system).sim_s)
-            rows.append(row)
-    return rows
+    return _grid(datasets or DATASETS, EDGE_SYSTEMS, EDGE_METRICS, scale, _runtime)
 
 
 # ---------------------------------------------------------------- Table 6
 def table6(scale: float = 0.25, datasets: tuple[str, ...] | None = None) -> list[dict]:
     """Runtime (simulated seconds at paper scale) — TDS / kCLiDS."""
-    datasets = datasets or tuple(DATASETS)
-    rows = []
-    for ds in datasets:
-        for system in CLIQUE_SYSTEMS:
-            row = {"Dataset": ds, "Method": system}
-            for mname in CLIQUE_METRICS:
-                row[mname] = _fmt_time(run_system(ds, scale, mname, system).sim_s)
-            rows.append(row)
-    return rows
+    return _grid(
+        datasets or DATASETS, CLIQUE_SYSTEMS, CLIQUE_METRICS, scale, _runtime
+    )
 
 
 # ---------------------------------------------------------------- Table 7
 def table7(scale: float = 1.0, datasets: tuple[str, ...] | None = None) -> list[dict]:
     """Density of the detected subgraph — DG/DW/FD."""
-    datasets = datasets or tuple(DATASETS)
-    rows = []
-    for ds in datasets:
-        for system in EDGE_SYSTEMS:
-            row = {"Dataset": ds, "Method": system}
-            for mname in EDGE_METRICS:
-                row[mname] = round(run_system(ds, scale, mname, system).density, 2)
-            rows.append(row)
-    return rows
+    return _grid(datasets or DATASETS, EDGE_SYSTEMS, EDGE_METRICS, scale, _density)
 
 
 # ---------------------------------------------------------------- Table 8
 def table8(scale: float = 0.25, datasets: tuple[str, ...] | None = None) -> list[dict]:
     """Density of the detected subgraph — TDS / kCLiDS."""
-    datasets = datasets or tuple(DATASETS)
-    rows = []
-    for ds in datasets:
-        for system in CLIQUE_SYSTEMS:
-            row = {"Dataset": ds, "Method": system}
-            for mname in CLIQUE_METRICS:
-                row[mname] = round(run_system(ds, scale, mname, system).density, 2)
-            rows.append(row)
-    return rows
+    return _grid(
+        datasets or DATASETS, CLIQUE_SYSTEMS, CLIQUE_METRICS, scale, _density
+    )
 
 
 # ---------------------------------------------------------------- Table 9
@@ -293,7 +273,6 @@ def table9(scale: float = 1.0) -> list[dict]:
     # our gfg analogue is strictly bipartite (zero triangles), so the
     # clique-metric latency sample uses the social analogue instead.
     cs_graph = load_dataset("soc", 0.25)
-    spec_v, spec_e = GRAB_CASE_V, GRAB_CASE_E
 
     # GBBS imports precomputed peeling weights (its Table 5 protocol
     # excludes that offline pass); a production deployment cannot, so the
@@ -307,32 +286,16 @@ def table9(scale: float = 1.0) -> list[dict]:
         metric = by_name(mname)
         g = cs_graph if metric.kind == "clique" else graph
         extra = 0.0
-        if system == "Dupin":
-            res = peel_local(g, metric, gpo(0.1))
-        elif system == "GBBS":
+        if system == "GBBS":
             if metric.kind == "clique":
                 return float("inf")  # GBBS lacks clique metrics ('-')
-            res = gbbs_run(g, metric)
-            extra = spec_e * GBBS_PRECOMPUTE_OPS[mname] / X5650.seq_rate
-        elif system == "Spade":
-            sres = spade_run(g, metric)
-            e_ratio = spec_e / max(g.m, 1)
-            exp = clique_exponent(metric.k if metric.kind == "clique" else None)
-            ops = sres.avg_batch_work * e_ratio
-            ops += sres.result.worklog.init_sequential * e_ratio**exp
-            return ops / X5650.seq_rate
+            extra = GRAB_CASE_E * GBBS_PRECOMPUTE_OPS[mname] / X5650.seq_rate
+        if system == "Dupin":
+            res = peel_local(g, metric, gpo(0.1))
         else:
-            raise KeyError(system)
-        ag = extrapolate(
-            res.worklog,
-            synth_v=g.n,
-            synth_e=g.m,
-            paper_v=spec_v,
-            paper_e=spec_e,
-            round_growth=_round_growth(system, mname),
-            clique_k=metric.k if metric.kind == "clique" else None,
-        )
-        return simulate(ag, X5650) + extra
+            res = RUNNERS[system](g, metric)
+        sim = _seconds(res, system, metric, g, GRAB_CASE_V, GRAB_CASE_E, X5650)
+        return sim + extra
 
     rows = []
     for system in ("Dupin", "Spade", "GBBS"):
@@ -375,3 +338,18 @@ def table10(scale: float = 1.0) -> list[dict]:
             row[f"{mname} EPYC"] = _fmt_time(s.sim_epyc_s)
         rows.append(row)
     return rows
+
+
+# One entry per paper table: the harness (its defaults are the committed
+# run) and the title heading ``results/<name>.md``.
+TABLES = {
+    "table2": (table2, "Table 2"),
+    "table3": (table3, "Table 3 — GPO/LPO impact on peeling rounds (la)"),
+    "table4": (table4, "Table 4 — dataset statistics (synth vs paper)"),
+    "table5": (table5, "Table 5 — runtime (s), DG/DW/FD, 128 threads"),
+    "table6": (table6, "Table 6 — runtime (s), TDS/kCLiDS"),
+    "table7": (table7, "Table 7 — density, DG/DW/FD"),
+    "table8": (table8, "Table 8 — density, TDS/kCLiDS"),
+    "table9": (table9, "Table 9 — latency vs prevention ratio"),
+    "table10": (table10, "Table 10 — hardware platforms (soc)"),
+}

@@ -24,7 +24,7 @@ round work scales with M/m; round *count* scales with ``log N / log n``
 for threshold schedules (Lemma 4.1), with ``N/n`` for bucket/sequential
 schedules (one bucket ≈ one distinct weight), except unweighted-DG
 buckets which grow ~``√(N/n)`` (integer-degree buckets); clique setup
-scales superlinearly (``(M/m)^1.25`` for k=3, ``^1.45`` for k≥4) per the
+scales superlinearly (``(M/m)^1.25`` for k=3, ``^1.3`` for k≥4) per the
 ``O(k|E|α(G)^{k-2})`` listing bound.
 """
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Tests for the local clique-enumeration substrate."""
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,3 +102,17 @@ def test_two_disjoint_triangles():
         frozenset({0, 1, 2}),
         frozenset({3, 4, 5}),
     }
+
+
+def test_imports_first_in_a_fresh_interpreter():
+    """``repro.core`` imports this module, so it must import on its own
+    (``pytest tests/test_cliques_spark.py`` alone imports it first)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.cliques.local"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,14 @@
 """Tests for the spark-submit job wrappers."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from jobs import dupin_detect, table2
-from jobs._common import rows_to_df
+from jobs import dupin_detect, tables
+from jobs.tables import rows_to_df
 
 
 def test_rows_to_df_stringifies_mixed_columns(spark):
@@ -15,9 +20,31 @@ def test_rows_to_df_stringifies_mixed_columns(spark):
 
 
 def test_table2_job_run(spark):
-    df = table2.run(spark)
+    df = tables.run(spark, "table2")
     assert df.count() == 8
     assert "System" in df.columns
+
+
+def test_tables_job_rejects_unknown_name(spark):
+    with pytest.raises(ValueError, match="table2, table3"):
+        tables.run(spark, "table11")
+
+
+@pytest.mark.parametrize("argv", [[], ["table11"]])
+def test_tables_script_lists_valid_names(argv):
+    """A missing or unknown name exits before any Spark session starts."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "jobs" / "tables.py"), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode != 0
+    assert "valid names: table2, table3" in proc.stderr
 
 
 def test_dupin_detect_job(spark):

@@ -1,13 +1,12 @@
 """DuckDB-oracle checks for the Spark aggregations the reproduction relies
-on, plus sanity checks that the provided TPC-H-lite generators integrate
-with the oracle (per the project brief, every query-result check routes
-through ``repro.oracle.assert_equivalent``)."""
+on, including a grouped aggregate and a shuffle join over seeded graph
+tables (every query-result check routes through
+``repro.oracle.assert_equivalent``)."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.graph import from_edges
 from repro.oracle import assert_equivalent
 
@@ -85,47 +84,58 @@ def test_induced_subgraph_weight_oracle(spark, gdfs):
     )
 
 
-def test_tpch_lite_lineitem_aggregation_oracle(spark):
-    """The provided TPC-H-lite generator works with the oracle end-to-end
-    (deterministic input, grouped aggregate, identical rows)."""
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    li_pd = li.toPandas()
+@pytest.fixture(scope="module")
+def big_gdfs():
+    """A seeded ``from_edges`` graph large enough for many groups."""
+    rng = np.random.default_rng(33)
+    n, m = 300, 3000
+    g = from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                   rng.random(m) * 10 + 0.1, vertex_weight=rng.random(n))
+    return g.to_pandas()
+
+
+def test_edge_grouped_aggregate_oracle(spark, big_gdfs):
+    """Grouped aggregate: per-``src`` edge count and weight sum."""
+    _, edges = big_gdfs
+    se = spark.createDataFrame(edges)
+    out = se.groupBy("src").agg(
+        F.count(F.lit(1)).alias("n"),
+        F.round(F.sum("c"), 3).alias("sc"),
+    )
+    assert_equivalent(
+        out,
+        """
+        SELECT src, COUNT(*) AS n, ROUND(SUM(c), 3) AS sc
+        FROM edges GROUP BY src
+        """,
+        edges=edges,
+    )
+
+
+def test_edge_vertex_join_oracle(spark, big_gdfs):
+    """Shuffle-join path (broadcast disabled in the fixture) vs DuckDB:
+    edges joined to their ``src`` vertex, grouped by a vertex-weight
+    bucket."""
+    verts, edges = big_gdfs
+    se, sv = spark.createDataFrame(edges), spark.createDataFrame(verts)
     out = (
-        li.groupBy("l_returnflag")
+        se.join(sv, se["src"] == sv["vid"])
+        .groupBy(F.floor(F.col("a") * 4).cast("long").alias("bucket"))
         .agg(
             F.count(F.lit(1)).alias("n"),
-            F.round(F.sum("l_quantity"), 3).alias("qty"),
+            F.round(F.sum("c"), 3).alias("sc"),
         )
     )
     assert_equivalent(
         out,
         """
-        SELECT l_returnflag, COUNT(*) AS n, ROUND(SUM(l_quantity), 3) AS qty
-        FROM lineitem GROUP BY l_returnflag
+        SELECT CAST(FLOOR(a * 4) AS BIGINT) AS bucket, COUNT(*) AS n,
+               ROUND(SUM(c), 3) AS sc
+        FROM edges JOIN verts ON src = vid
+        GROUP BY CAST(FLOOR(a * 4) AS BIGINT)
         """,
-        lineitem=li_pd,
-    )
-
-
-def test_tpch_lite_join_oracle(spark):
-    """Shuffle-join path (broadcast disabled in the fixture) vs DuckDB."""
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    orders = synth_data.orders(spark, sf=0.001, seed=1)
-    li_pd, o_pd = li.toPandas(), orders.toPandas()
-    out = (
-        li.join(orders, li["l_orderkey"] == orders["o_orderkey"])
-        .groupBy("o_orderstatus")
-        .agg(F.count(F.lit(1)).alias("n"))
-    )
-    assert_equivalent(
-        out,
-        """
-        SELECT o_orderstatus, COUNT(*) AS n
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY o_orderstatus
-        """,
-        lineitem=li_pd,
-        orders=o_pd,
+        edges=edges,
+        verts=verts,
     )
 
 

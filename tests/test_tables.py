@@ -1,4 +1,6 @@
 """Integration tests for the per-table harnesses (small scales)."""
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -12,7 +14,7 @@ from repro.experiments import (
     table10,
     write_table,
 )
-from repro.experiments.tables import run_system
+from repro.experiments.tables import TABLES, run_system
 from repro.simmachine import TIME_LIMIT_S
 
 SMALL = ("gfg", "bio")
@@ -135,7 +137,29 @@ def test_render_and_write(tmp_path, monkeypatch):
     import repro.experiments.io as io
 
     monkeypatch.setattr(io, "RESULTS_DIR", str(tmp_path))
-    md = write_table("t2", table2(), "Table 2")
+    md = write_table("table2", table2())
     assert "| System |" in md
-    assert (tmp_path / "t2.md").exists()
+    assert (tmp_path / "table2.md").exists()
     assert render_markdown([], "empty").endswith("(no rows)\n")
+
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+def test_one_title_per_committed_table():
+    """``TABLES`` names every committed ``results/table*.md`` once, and
+    each file is headed by its registered title (no harness runs)."""
+    committed = {p.stem: p for p in RESULTS.glob("table*.md")}
+    assert set(TABLES) == set(committed)
+    for name, (_, title) in TABLES.items():
+        first = committed[name].read_text().splitlines()[0]
+        assert first == f"## {title}", name
+
+
+def test_table2_rebuilds_committed_result(tmp_path, monkeypatch):
+    """No bench writes Table 2; its committed file is the harness output."""
+    import repro.experiments.io as io
+
+    monkeypatch.setattr(io, "RESULTS_DIR", str(tmp_path))
+    md = write_table("table2", table2())
+    assert md == (RESULTS / "table2.md").read_text()
